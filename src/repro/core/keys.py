@@ -1,13 +1,10 @@
-"""Content-hash key derivation shared by the on-disk caches.
-
-Two cache layers key their artifacts by content hash:
+"""Content-hash key derivation shared by the on-disk formats.
 
 * the fpDNS artifact cache (:mod:`repro.traffic.artifacts`) keys each
   simulated day by the canonical JSON of the simulator configuration
   plus the chronological day history;
-* the miner result cache (:mod:`repro.core.mining_pipeline`) keys each
-  day's mining output by the *data content* of the fpDNS day plus the
-  miner configuration and classifier fingerprint.
+* the fpDNS-v2 header (:mod:`repro.pdns.columnar`) records each day's
+  *data content* hash.
 
 Both reduce to the same primitive — a SHA-256 over a canonical byte
 serialisation — which lives here, at the bottom of the layering DAG,
@@ -18,13 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from typing import Any, Mapping
 
 from repro.core.records import FpDnsDataset, FpDnsEntry
 
-__all__ = ["canonical_json_key", "versioned_key", "dataset_content_key",
-           "compute_dataset_content_key", "object_fingerprint"]
+__all__ = ["canonical_json_key", "versioned_key", "dataset_content_key"]
 
 
 def canonical_json_key(payload: Mapping[str, Any]) -> str:
@@ -41,9 +36,8 @@ def versioned_key(format_tag: str, payload: Mapping[str, Any]) -> str:
     """The shared cache-key scheme: canonical JSON of ``payload`` with
     a ``format`` version field folded in.
 
-    Every on-disk cache (fpDNS artifacts, miner results) derives its
-    keys through this, so bumping a format tag invalidates exactly that
-    cache's old entries and nothing else.
+    On-disk caches derive their keys through this, so bumping a format
+    tag invalidates exactly that cache's old entries and nothing else.
     """
     if "format" in payload:
         raise ValueError("payload must not carry its own 'format' field")
@@ -66,26 +60,8 @@ def dataset_content_key(dataset: FpDnsDataset) -> str:
     Hashes the day label and every entry of both streams in order, so
     two datasets hash equal exactly when they compare equal — whether
     they were simulated, loaded from an artifact cache, or built by
-    hand.  This is the key material for the miner result cache: a
-    warm session with unchanged data can skip mining entirely.
-    """
-    precomputed = getattr(dataset, "content_key", None)
-    if isinstance(precomputed, str):
-        # Columnar artifact loads carry the key computed (from the real
-        # entries) at store time, so keying a warm day costs nothing
-        # and — crucially — never materialises the lazy entry views.
-        return precomputed
-    return compute_dataset_content_key(dataset)
-
-
-def compute_dataset_content_key(dataset: FpDnsDataset) -> str:
-    """The entry-hashing loop behind :func:`dataset_content_key`,
-    without the precomputed-key fast path.
-
-    Split out so :class:`~repro.pdns.columnar.ColumnarFpDnsDataset` can
-    compute its *own* key lazily (its ``content_key`` attribute is the
-    fast path's probe target — calling the probing function from inside
-    the property would recurse).
+    hand.  fpDNS-v2 artifacts carry it in their header
+    (:class:`~repro.pdns.columnar.ColumnarFpDnsDataset.content_key`).
     """
     digest = hashlib.sha256()
     digest.update(dataset.day.encode("utf-8"))
@@ -94,15 +70,3 @@ def compute_dataset_content_key(dataset: FpDnsDataset) -> str:
         for entry in entries:
             digest.update(_entry_bytes(entry))
     return digest.hexdigest()
-
-
-def object_fingerprint(obj: Any) -> str:
-    """SHA-256 hex digest of an object's pickle serialisation.
-
-    Used to fingerprint trained classifiers: training is deterministic
-    (seeded), so equal configurations produce byte-equal pickles and
-    therefore equal fingerprints, while any retrained or reconfigured
-    model invalidates dependent cache entries.
-    """
-    return hashlib.sha256(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()

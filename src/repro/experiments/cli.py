@@ -12,10 +12,10 @@ where ``<experiment>`` is one of the ids below (e.g. ``fig13``,
 ``table1``, ``sec6b``, ``all``).  Output is the same text rendering
 the benchmarks print.
 
-``cache`` inspects or LRU-prunes the on-disk artifact caches
-(simulated fpDNS days and mining results; see docs/PERFORMANCE.md §5).
-Without ``--dir`` it operates on the directories named by the
-``REPRO_ARTIFACT_CACHE`` and ``REPRO_MINER_CACHE`` environment knobs.
+``cache`` inspects or LRU-prunes the on-disk artifact cache of
+simulated fpDNS days (see docs/PERFORMANCE.md §5).  Without ``--dir``
+it operates on the directory named by the ``REPRO_ARTIFACT_CACHE``
+environment knob.
 
 ``pdns`` operates on segmented on-disk pdns stores
 (:mod:`repro.pdns.store`; docs/PERFORMANCE.md §8): ``stats`` prints
@@ -85,22 +85,19 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
 
 _PROFILES: Dict[str, ScaleProfile] = {"small": SMALL, "medium": MEDIUM}
 
-_CACHE_ENV_KNOBS = ("REPRO_ARTIFACT_CACHE", "REPRO_MINER_CACHE")
+_CACHE_ENV_KNOB = "REPRO_ARTIFACT_CACHE"
 
 _PDNS_ENV_KNOB = "REPRO_PDNS_STORE"
 
 
-def _cache_directories(explicit: Optional[Sequence[str]]) -> List[Path]:
-    """Directories the ``cache`` subcommand operates on: ``--dir``
-    arguments if given, else the env-configured cache directories."""
+def _env_directories(explicit: Optional[Sequence[str]],
+                     knob: str) -> List[Path]:
+    """Directories a ``cache``/``pdns`` subcommand operates on:
+    ``--dir`` arguments if given, else the one named by ``knob``."""
     if explicit:
         return [Path(value) for value in explicit]
-    directories: List[Path] = []
-    for knob in _CACHE_ENV_KNOBS:
-        value = os.environ.get(knob)
-        if value and Path(value) not in directories:
-            directories.append(Path(value))
-    return directories
+    value = os.environ.get(knob)
+    return [Path(value)] if value else []
 
 
 def _run_cache(args: argparse.Namespace,
@@ -109,10 +106,10 @@ def _run_cache(args: argparse.Namespace,
     if action not in ("stats", "prune"):
         parser.error(f"unknown cache action {action!r}; "
                      "expected 'stats' or 'prune'")
-    directories = _cache_directories(args.cache_dirs)
+    directories = _env_directories(args.cache_dirs, _CACHE_ENV_KNOB)
     if not directories:
-        parser.error("no cache directories: pass --dir or set "
-                     + "/".join(_CACHE_ENV_KNOBS))
+        parser.error(f"no cache directories: pass --dir or set "
+                     f"{_CACHE_ENV_KNOB}")
     if action == "prune":
         if args.max_bytes is None:
             parser.error("cache prune requires --max-bytes")
@@ -134,11 +131,7 @@ def _run_pdns(args: argparse.Namespace,
     if action not in ("stats", "compact", "prune"):
         parser.error(f"unknown pdns action {action!r}; "
                      "expected 'stats', 'compact' or 'prune'")
-    if args.cache_dirs:
-        directories = [Path(value) for value in args.cache_dirs]
-    else:
-        env_value = os.environ.get(_PDNS_ENV_KNOB)
-        directories = [Path(env_value)] if env_value else []
+    directories = _env_directories(args.cache_dirs, _PDNS_ENV_KNOB)
     if not directories:
         parser.error(f"no store directories: pass --dir or set "
                      f"{_PDNS_ENV_KNOB}")
@@ -238,8 +231,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--dir", dest="cache_dirs", action="append",
                         metavar="DIR",
                         help="cache/store directory for 'cache'/'pdns' "
-                             "(repeatable; default: the REPRO_*_CACHE / "
-                             "REPRO_PDNS_STORE env knobs)")
+                             "(repeatable; default: the "
+                             "REPRO_ARTIFACT_CACHE / REPRO_PDNS_STORE "
+                             "env knobs)")
     parser.add_argument("--max-bytes", type=int, default=None,
                         help="byte budget for 'cache prune'/'pdns prune'")
     parser.add_argument("--max-rows", type=int, default=None,

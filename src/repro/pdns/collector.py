@@ -23,12 +23,7 @@ _NXDOMAIN = RCode.NXDOMAIN
 
 def entries_for_response(timestamp: float, client_id: Optional[int],
                          response: Response) -> List[FpDnsEntry]:
-    """The fpDNS rows one observed response contributes.
-
-    Shared by the in-process collector and the shard workers of
-    :mod:`repro.traffic.parallel`, so both monitoring paths materialise
-    byte-identical streams.
-    """
+    """The fpDNS rows one observed response contributes."""
     if response.rcode is _NXDOMAIN or not response.answers:
         rcode = (response.rcode if response.rcode is not _NOERROR
                  else _NXDOMAIN)
@@ -58,8 +53,7 @@ class PassiveDnsCollector:
         to the caller and then owned solely by it, so a year-long
         simulation no longer pins every day (plus the synthetic warmup
         placeholders) in memory for the process lifetime.  A positive
-        value keeps the most recent N; ``None`` keeps all (the
-        pre-sharding behaviour).
+        value keeps the most recent N; ``None`` keeps all.
     """
 
     def __init__(self, day: str = "warmup",

@@ -36,8 +36,8 @@ detectable before numpy ever parses a byte; any mismatch raises
 as a miss.
 
 ``content_key`` is :func:`repro.core.keys.dataset_content_key`
-computed from the real entries at store time, so keying a warm day
-(e.g. for the miner result cache) costs nothing.
+computed from the real entries at store time, so a warm day's key is
+known without materialising its entries.
 
 Compatibility
 -------------
@@ -65,8 +65,7 @@ from repro.core.dnstypes import RCode
 from repro.core.interning import (RRTYPE_BY_CODE, DayDigest,
                                   build_day_digest, decode_string_pool,
                                   encode_string_pool)
-from repro.core.keys import (compute_dataset_content_key,
-                             dataset_content_key)
+from repro.core.keys import dataset_content_key
 from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.pdns.io import FormatError
 
@@ -94,36 +93,23 @@ class ColumnarFpDnsDataset(FpDnsDataset):
     legacy :class:`~repro.core.records.FpDnsEntry` lists only when a
     per-entry consumer actually reads them.
 
-    ``content_key`` is precomputed on warm artifact loads (carried by
-    the fpDNS-v2 header) and *lazy* on freshly merged parallel days
-    (pass ``None``): the key hashes the real entries, so computing it
-    eagerly would force the entry materialisation this class exists to
-    avoid.  Reading the property on a keyless day computes and caches
-    it once — the merged entries are identical to the serial day's, so
-    the lazy key equals the key a serial run would have stored.
+    ``content_key`` is the day's
+    :func:`~repro.core.keys.dataset_content_key`, carried by the
+    fpDNS-v2 header: the key hashes the real entries, so computing it
+    here would force the entry materialisation this class exists to
+    avoid.
     """
 
     def __init__(self, day: str, digest: DayDigest, xrdata: _XRdata,
-                 content_key: Optional[str]) -> None:
+                 content_key: str) -> None:
         # Deliberately not calling the dataclass __init__: ``below`` /
         # ``above`` are lazy properties here, not list fields.
         self.day = day
         self._digest = digest
         self._xrdata = xrdata
-        self._content_key = content_key
+        self.content_key = content_key
         self._below_entries: Optional[List[FpDnsEntry]] = None
         self._above_entries: Optional[List[FpDnsEntry]] = None
-
-    @property
-    def content_key(self) -> str:
-        """The day's :func:`~repro.core.keys.dataset_content_key`.
-
-        Free on warm loads; computed (and cached) from the entries on
-        first read for parallel-merged days.
-        """
-        if self._content_key is None:
-            self._content_key = compute_dataset_content_key(self)
-        return self._content_key
 
     def day_digest(self) -> DayDigest:
         """The columnar digest — free, already deserialised."""

@@ -20,9 +20,8 @@ skipping them would mask truncated-then-appended files; trailing blank
 lines at end of file stay tolerated.
 
 The binary columnar sibling of the fpDNS format lives in
-:mod:`repro.pdns.columnar` (fpDNS-v2); this text format remains the
-interchange/oracle format and the ``REPRO_ARTIFACT_FORMAT=tsv``
-fallback.
+:mod:`repro.pdns.columnar` (fpDNS-v2, the artifact-cache format); this
+text format remains the import/export format and the equality oracle.
 """
 
 from __future__ import annotations

@@ -1,24 +1,19 @@
-"""Tests for repro.core.mining_pipeline — parallel calendar mining and
-the on-disk miner-result cache.
+"""The digest mining pipeline against the legacy per-entry path.
 
-The contract under test is *provable equivalence*: the digest pipeline
-(`mine_day`), the calendar miner at every worker count, and a
-cache-warm replay must all produce the legacy ``run_day`` result,
-day for day.
+The contract under test is *provable equivalence*: mining each day of
+a calendar through its columnar digest
+(``DisposableZoneRanker.run_digest(digest_of(day))``) must produce the
+legacy ``run_day`` result, day for day.
 """
-
-import json
 
 import pytest
 
 from repro.core.classifier import LadTreeClassifier
 from repro.core.features import FeatureExtractor
 from repro.core.hitrate import hit_rates_from_digest
-from repro.core.interning import build_day_digest
+from repro.core.interning import build_day_digest, digest_of
 from repro.core.labeling import build_training_set
 from repro.core.miner import MinerConfig
-from repro.core.mining_pipeline import (CalendarMiner, MinerResultCache,
-                                        mine_day, miner_result_key)
 from repro.core.ranking import DisposableZoneRanker, build_tree_from_digest
 from repro.traffic.simulate import (PAPER_DATES, TraceSimulator)
 
@@ -49,6 +44,12 @@ def oracle(calendar):
     return [ranker.run_day(dataset) for dataset in datasets]
 
 
+def mine_digest(dataset, classifier):
+    """The digest path: mine the day straight from its columns."""
+    return DisposableZoneRanker(classifier, MinerConfig()).run_digest(
+        digest_of(dataset))
+
+
 def _assert_results_equal(reference, candidate):
     assert candidate.day == reference.day
     # Findings compared as sets: the legacy path orders them by `set`
@@ -66,158 +67,13 @@ class TestMineDay:
     def test_equals_legacy_run_day(self, calendar, oracle):
         datasets, classifier = calendar
         for dataset, reference in zip(datasets, oracle):
-            _assert_results_equal(reference, mine_day(dataset, classifier))
+            _assert_results_equal(reference,
+                                  mine_digest(dataset, classifier))
 
     def test_findings_nonempty_somewhere(self, calendar):
         # The simulated calendar plants disposable zones; the pipeline
         # equivalence tests above would pass vacuously if nothing were
         # ever mined.
         datasets, classifier = calendar
-        assert any(mine_day(dataset, classifier).findings
+        assert any(mine_digest(dataset, classifier).findings
                    for dataset in datasets)
-
-
-class TestCalendarMiner:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_equals_oracle_at_every_worker_count(self, calendar, oracle,
-                                                 n_workers):
-        datasets, classifier = calendar
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=n_workers)
-        mined = miner.mine_calendar(datasets)
-        assert len(mined) == len(oracle)
-        for reference, candidate in zip(oracle, mined):
-            _assert_results_equal(reference, candidate)
-
-    def test_worker_counts_agree_exactly(self, calendar):
-        datasets, classifier = calendar
-        serial = CalendarMiner(classifier, MinerConfig(),
-                               n_workers=1).mine_calendar(datasets)
-        parallel = CalendarMiner(classifier, MinerConfig(),
-                                 n_workers=2).mine_calendar(datasets)
-        # Not just set-equal: identical lists, findings order included —
-        # the digest pipeline is deterministic across processes.
-        assert parallel == serial
-
-    def test_rejects_bad_worker_count(self, calendar):
-        _, classifier = calendar
-        with pytest.raises(ValueError):
-            CalendarMiner(classifier, n_workers=0)
-
-    def test_rejects_bad_ipc_mode(self, calendar):
-        _, classifier = calendar
-        with pytest.raises(ValueError):
-            CalendarMiner(classifier, ipc="telegraph")
-
-    def test_empty_calendar(self, calendar):
-        _, classifier = calendar
-        assert CalendarMiner(classifier).mine_calendar([]) == []
-
-
-class TestDigestDispatch:
-    """The parallel miner ships digest columns, not datasets: every
-    transport produces the serial result, and the dispatch reports the
-    (column-sized) payload that actually crossed the pool."""
-
-    def test_spill_transport_equals_serial(self, calendar, oracle):
-        datasets, classifier = calendar
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=2,
-                              ipc="spill")
-        mined = miner.mine_calendar(datasets)
-        for reference, candidate in zip(oracle, mined):
-            _assert_results_equal(reference, candidate)
-        assert miner.last_ipc is not None
-        assert miner.last_ipc.mode == "spill"
-        assert miner.last_ipc.segments == len(datasets)
-        assert miner.last_ipc.payload_bytes > 0
-
-    def test_parallel_run_reports_ipc_payload(self, calendar):
-        datasets, classifier = calendar
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=2)
-        miner.mine_calendar(datasets)
-        assert miner.last_ipc is not None
-        assert miner.last_ipc.mode in ("shm", "spill")
-        assert miner.last_ipc.payload_bytes > 0
-
-    def test_serial_run_reports_inline(self, calendar):
-        datasets, classifier = calendar
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=1)
-        miner.mine_calendar(datasets)
-        assert miner.last_ipc is not None
-        assert miner.last_ipc.mode == "inline"
-        assert miner.last_ipc.payload_bytes == 0
-
-
-class TestWarmKeyFastPath:
-    """Keying a warm columnar day must not materialise its entries —
-    the whole point of carrying content keys in the fpDNS-v2 header."""
-
-    def test_miner_result_key_skips_entry_materialisation(self, calendar):
-        from repro.pdns.columnar import dumps_fpdns2, loads_fpdns2
-        datasets, classifier = calendar
-        warm = loads_fpdns2(dumps_fpdns2(datasets[0]))
-        key = miner_result_key(warm, classifier, MinerConfig())
-        assert key == miner_result_key(datasets[0], classifier,
-                                       MinerConfig())
-        # The lazy entry views were never touched.
-        assert warm._below_entries is None
-        assert warm._above_entries is None
-
-
-class TestMinerResultCache:
-    def test_cold_then_warm_replay(self, calendar, oracle, tmp_path):
-        datasets, classifier = calendar
-        cold_cache = MinerResultCache(tmp_path)
-        cold = CalendarMiner(classifier, MinerConfig(),
-                             cache=cold_cache).mine_calendar(datasets)
-        assert cold_cache.misses == len(datasets)
-        assert cold_cache.hits == 0
-        assert len(cold_cache) == len(datasets)
-
-        warm_cache = MinerResultCache(tmp_path)
-        warm = CalendarMiner(classifier, MinerConfig(),
-                             cache=warm_cache).mine_calendar(datasets)
-        assert warm_cache.hits == len(datasets)
-        assert warm_cache.misses == 0
-        assert warm == cold
-        for reference, candidate in zip(oracle, warm):
-            _assert_results_equal(reference, candidate)
-
-    def test_key_sensitivity(self, calendar):
-        datasets, classifier = calendar
-        key = miner_result_key(datasets[0], classifier, MinerConfig())
-        assert key == miner_result_key(datasets[0], classifier, MinerConfig())
-        assert key != miner_result_key(datasets[1], classifier, MinerConfig())
-        assert key != miner_result_key(datasets[0], classifier,
-                                       MinerConfig(threshold=0.8))
-
-    def test_corrupt_entry_is_a_miss(self, calendar, tmp_path):
-        datasets, classifier = calendar
-        cache = MinerResultCache(tmp_path)
-        result = mine_day(datasets[0], classifier)
-        key = miner_result_key(datasets[0], classifier, MinerConfig())
-        path = cache.store(key, result)
-        path.write_text("{ not json")
-        assert cache.load(key) is None
-        assert cache.misses == 1
-
-    def test_truncated_payload_is_a_miss(self, calendar, tmp_path):
-        datasets, classifier = calendar
-        cache = MinerResultCache(tmp_path)
-        result = mine_day(datasets[0], classifier)
-        key = miner_result_key(datasets[0], classifier, MinerConfig())
-        path = cache.store(key, result)
-        payload = json.loads(path.read_text())
-        del payload["findings"]
-        path.write_text(json.dumps(payload))
-        assert cache.load(key) is None
-
-    def test_roundtrip_preserves_result_exactly(self, calendar, tmp_path):
-        datasets, classifier = calendar
-        cache = MinerResultCache(tmp_path)
-        result = mine_day(datasets[0], classifier)
-        key = miner_result_key(datasets[0], classifier, MinerConfig())
-        cache.store(key, result)
-        replayed = cache.load(key)
-        # Dataclass equality: float confidences round-trip exactly
-        # through JSON's shortest-repr encoding.
-        assert replayed == result

@@ -88,13 +88,11 @@ class TestCacheCommand:
                                           monkeypatch):
         self._populate(tmp_path)
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_MINER_CACHE", raising=False)
         assert cli.main(["cache", "stats"]) == 0
         assert "2 artifacts" in capsys.readouterr().out
 
     def test_no_directories_errors(self, monkeypatch):
         monkeypatch.delenv("REPRO_ARTIFACT_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_MINER_CACHE", raising=False)
         with pytest.raises(SystemExit):
             cli.main(["cache", "stats"])
 

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.core.interning import build_day_digest
+from repro.core.miner import MinerConfig
+from repro.core.ranking import DisposableZoneRanker
 from repro.experiments.context import (MEDIUM, SMALL, ExperimentContext,
                                        ScaleProfile)
-from repro.traffic.artifacts import FpDnsArtifactCache
+from repro.pdns.io import dumps_fpdns, loads_fpdns
+from repro.traffic.artifacts import FpDnsArtifactCache, artifact_key
 from repro.traffic.simulate import PAPER_DATES, MeasurementDate
 
-# Seconds-scale profile for the acceleration-path tests below: they
-# each run the full standard calendar, so the per-day cost must be tiny.
+# Seconds-scale profile for the artifact-cache tests below: they each
+# run the full standard calendar, so the per-day cost must be tiny.
 TINY = ScaleProfile(name="tiny-accel", events_per_day=800,
                     n_popular_sites=30, n_longtail_sites=200,
                     n_extra_disposable=8, n_clients=40,
@@ -66,18 +70,14 @@ class TestContext:
         assert len(small_context.truth_groups()) > 10
 
 
-class TestAcceleratedContext:
-    """The sharded and artifact-cached paths must change nothing but
-    wall-clock time."""
+def tsv_roundtrip(dataset):
+    """The oracle: the same day through the gzip-TSV text format."""
+    return loads_fpdns(dumps_fpdns(dataset))
 
-    def test_sharded_context_matches_serial(self):
-        serial = ExperimentContext(TINY)
-        sharded = ExperimentContext(TINY, n_workers=2)
-        for date in PAPER_DATES[:2]:
-            a = serial.dataset(date)
-            b = sharded.dataset(date)
-            assert a.below == b.below
-            assert a.above == b.above
+
+class TestAcceleratedContext:
+    """The artifact-cached path must change nothing but wall-clock
+    time."""
 
     def test_warm_session_skips_simulation(self, tmp_path):
         cold_cache = FpDnsArtifactCache(tmp_path)
@@ -102,12 +102,11 @@ class TestAcceleratedContext:
         straight into mining: no entry lists are ever materialised."""
         from repro.pdns.columnar import ColumnarFpDnsDataset
 
-        cache = FpDnsArtifactCache(tmp_path, artifact_format="columnar")
+        cache = FpDnsArtifactCache(tmp_path)
         ExperimentContext(TINY, artifact_cache=cache).dataset(PAPER_DATES[0])
 
-        warm = ExperimentContext(
-            TINY, artifact_cache=FpDnsArtifactCache(
-                tmp_path, artifact_format="columnar"))
+        warm = ExperimentContext(TINY,
+                                 artifact_cache=FpDnsArtifactCache(tmp_path))
         day = warm.dataset(PAPER_DATES[0])
         assert isinstance(day, ColumnarFpDnsDataset)
         digest = warm.digest(PAPER_DATES[0])
@@ -115,44 +114,38 @@ class TestAcceleratedContext:
         assert day._below_entries is None       # no materialisation
         assert day._above_entries is None
 
-    @pytest.mark.parametrize("artifact_format", ["columnar", "tsv"])
-    def test_mining_identical_across_formats_and_workers(self, tmp_path,
-                                                         artifact_format):
-        """The paper's outputs are invariant under the storage backend
-        and worker count — both are wall-clock knobs only."""
-        baseline = ExperimentContext(TINY)
-        expected = baseline.mining_result(PAPER_DATES[0])
+    def test_warm_mining_equals_cold_and_tsv_oracle(self, tmp_path):
+        """The paper's outputs are invariant under the artifact cache:
+        mining a cache-loaded day equals the cold run and mining the
+        day's gzip-TSV round trip."""
+        day = PAPER_DATES[0]
+        cold = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        expected = cold.mining_result(day)
 
-        root = tmp_path / artifact_format
-        cache = FpDnsArtifactCache(root, artifact_format=artifact_format)
-        ExperimentContext(TINY, artifact_cache=cache).dataset(PAPER_DATES[0])
         warm = ExperimentContext(
-            TINY, miner_workers=2,
-            artifact_cache=FpDnsArtifactCache(
-                root, artifact_format=artifact_format))
-        assert warm.mining_result(PAPER_DATES[0]) == expected
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        assert warm.mining_result(day) == expected
+        ranker = DisposableZoneRanker(warm.classifier(), MinerConfig())
+        oracle_digest = build_day_digest(tsv_roundtrip(warm.dataset(day)))
+        assert ranker.run_digest(oracle_digest) == expected
 
     def test_digest_equal_across_formats(self, tmp_path):
-        """Digest columns from a columnar load equal those built from a
-        TSV load of the same day."""
+        """Digest columns from a columnar cache load equal those built
+        from a gzip-TSV round trip of the same day."""
         import numpy as np
 
         from repro.core.interning import STREAM_FIELDS
 
         day = PAPER_DATES[0]
-        for artifact_format in ("columnar", "tsv"):
-            cache = FpDnsArtifactCache(tmp_path / artifact_format,
-                                       artifact_format=artifact_format)
-            ExperimentContext(TINY, artifact_cache=cache).dataset(day)
+        cold = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        cold.dataset(day)
 
-        contexts = {
-            artifact_format: ExperimentContext(
-                TINY, artifact_cache=FpDnsArtifactCache(
-                    tmp_path / artifact_format,
-                    artifact_format=artifact_format))
-            for artifact_format in ("columnar", "tsv")}
-        d_col = contexts["columnar"].digest(day)
-        d_tsv = contexts["tsv"].digest(day)
+        warm = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        d_col = warm.digest(day)
+        d_tsv = build_day_digest(tsv_roundtrip(cold.dataset(day)))
         assert list(d_col.names.names) == list(d_tsv.names.names)
         assert d_col.rr_keys == d_tsv.rr_keys
         for which in ("below", "above"):
@@ -160,6 +153,30 @@ class TestAcceleratedContext:
                 assert np.array_equal(
                     getattr(getattr(d_col, which), field),
                     getattr(getattr(d_tsv, which), field)), (which, field)
+
+    def test_partial_artifact_hit_replays_then_simulates(self, tmp_path):
+        """A cache holding only a prefix of the calendar: the prefix
+        loads from disk, the simulator replays it to rewarm its caches,
+        then simulates the rest — every day equal to the cold run's."""
+        cold = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        calendar = cold._calendar()
+        cold_days = cold.datasets(calendar)
+        kept = 3
+        for position in range(kept, len(calendar)):
+            key = artifact_key(cold.simulator.config,
+                               calendar[:position + 1])
+            cold.artifacts.path_for(key).unlink()
+
+        cache = FpDnsArtifactCache(tmp_path)
+        partial = ExperimentContext(TINY, artifact_cache=cache)
+        partial_days = partial.datasets(calendar)
+        assert cache.hits == kept
+        assert partial._replayed == len(calendar)
+        for expected, actual in zip(cold_days, partial_days):
+            assert actual.day == expected.day
+            assert actual.below == expected.below
+            assert actual.above == expected.above
 
     def test_resident_days_bounds_memory_and_reloads(self, tmp_path):
         """With ``resident_days`` set, at most that many per-entry

@@ -77,7 +77,7 @@ class TestRoundTrip:
     def test_content_key_precomputed(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))
         assert loaded.content_key == dataset_content_key(dataset)
-        # The fast path in dataset_content_key must pick it up.
+        # The stored key matches a hash of the materialised entries.
         assert dataset_content_key(loaded) == loaded.content_key
 
     def test_reencode_without_materialization(self, dataset):

@@ -6,11 +6,10 @@ import pytest
 
 from repro.dns.message import RCode, RRType
 from repro.pdns.columnar import ColumnarFpDnsDataset
+from repro.pdns.io import dumps_fpdns, load_fpdns, loads_fpdns, save_fpdns
 from repro.pdns.records import FpDnsDataset, FpDnsEntry
-from repro.traffic.artifacts import (ARTIFACT_FORMAT, ARTIFACT_FORMATS,
-                                     COLUMNAR_SUFFIX, TSV_SUFFIX,
-                                     FpDnsArtifactCache,
-                                     artifact_format_from_env, artifact_key)
+from repro.traffic.artifacts import (ARTIFACT_FORMAT, COLUMNAR_SUFFIX,
+                                     FpDnsArtifactCache, artifact_key)
 from repro.traffic.population import PopulationConfig
 from repro.traffic.simulate import PAPER_DATES, SimulatorConfig
 from repro.traffic.workload import WorkloadConfig
@@ -81,7 +80,7 @@ class TestCacheStore:
         assert loaded.above == dataset.above
 
     def test_lossless_timestamps(self, tmp_path):
-        """Full float precision survives the gzip-TSV round trip."""
+        """Full float precision survives the artifact round trip."""
         cache = FpDnsArtifactCache(tmp_path)
         cache.store("k", make_dataset())
         loaded = cache.load("k")
@@ -98,7 +97,7 @@ class TestCacheStore:
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         cache = FpDnsArtifactCache(tmp_path)
         cache.store("k", make_dataset())
-        # Truncate the gzip stream mid-payload.
+        # Truncate the artifact mid-payload.
         path = cache.path_for("k")
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
@@ -135,56 +134,14 @@ class TestCacheStore:
         assert root.is_dir()
 
 
-class TestFormatSelection:
-    def test_default_is_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_ARTIFACT_FORMAT", raising=False)
-        assert artifact_format_from_env() == "columnar"
-        assert FpDnsArtifactCache(tmp_path).format == "columnar"
-
-    def test_env_selects_tsv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "tsv")
-        assert artifact_format_from_env() == "tsv"
+    def test_stores_columnar_blobs(self, tmp_path):
         cache = FpDnsArtifactCache(tmp_path)
-        assert cache.format == "tsv"
-        cache.store("k", make_dataset())
-        assert cache.path_for("k").suffix == ".gz"
+        assert cache.path_for("k").name == f"k{COLUMNAR_SUFFIX}"
 
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "parquet")
-        with pytest.raises(ValueError):
-            artifact_format_from_env()
-
-    def test_explicit_format_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "tsv")
-        assert FpDnsArtifactCache(
-            tmp_path, artifact_format="columnar").format == "columnar"
-
-    def test_suffixes_differ(self, tmp_path):
-        columnar = FpDnsArtifactCache(tmp_path, artifact_format="columnar")
-        tsv = FpDnsArtifactCache(tmp_path, artifact_format="tsv")
-        assert columnar.path_for("k").name == f"k{COLUMNAR_SUFFIX}"
-        assert tsv.path_for("k").name == f"k{TSV_SUFFIX}"
-
-
-@pytest.mark.parametrize("artifact_format", ARTIFACT_FORMATS)
-class TestBothBackends:
-    """The store/load contract holds identically for both backends."""
-
-    def test_roundtrip(self, tmp_path, artifact_format):
-        cache = FpDnsArtifactCache(tmp_path, artifact_format=artifact_format)
-        dataset = make_dataset()
-        cache.store("k", dataset)
-        loaded = cache.load("k")
-        assert loaded.day == dataset.day
-        assert loaded.below == dataset.below
-        assert loaded.above == dataset.above
-        assert loaded == dataset
-
-    def test_corruption_matrix_every_mode_is_a_miss(self, tmp_path,
-                                                    artifact_format):
+    def test_corruption_matrix_every_mode_is_a_miss(self, tmp_path):
         """Truncation, bitflip, wrong version/format, zero-length:
         always a miss, never an exception."""
-        cache = FpDnsArtifactCache(tmp_path, artifact_format=artifact_format)
+        cache = FpDnsArtifactCache(tmp_path)
         cache.store("k", make_dataset())
         pristine = cache.path_for("k").read_bytes()
 
@@ -203,40 +160,59 @@ class TestBothBackends:
         cache.path_for("k").write_bytes(pristine)
         assert cache.load("k") == make_dataset()
 
-    def test_atomic_publish_leaves_no_temps(self, tmp_path,
-                                            artifact_format):
-        cache = FpDnsArtifactCache(tmp_path, artifact_format=artifact_format)
-        cache.store("k", make_dataset())
-        assert list(tmp_path.glob("*.tmp")) == []
+
+def roundtrip(backend, tmp_path, dataset):
+    """Store and reload ``dataset`` through one on-disk format: the
+    columnar artifact cache, or the gzip-TSV files of repro.pdns.io."""
+    if backend == "columnar":
+        cache = FpDnsArtifactCache(tmp_path)
+        cache.store("k", dataset)
+        return cache.load("k")
+    path = tmp_path / "k.tsv.gz"
+    save_fpdns(dataset, path)
+    return load_fpdns(path)
+
+
+class TestBothBackends:
+    """A day survives both on-disk formats unchanged."""
+
+    @pytest.mark.parametrize("backend", ["columnar", "tsv"])
+    def test_roundtrip(self, tmp_path, backend):
+        dataset = make_dataset()
+        loaded = roundtrip(backend, tmp_path, dataset)
+        assert loaded.day == dataset.day
+        assert loaded.below == dataset.below
+        assert loaded.above == dataset.above
+        assert loaded == dataset
+
+    @pytest.mark.parametrize("backend", ["columnar"])
+    def test_atomic_publish_leaves_no_temps(self, tmp_path, backend):
+        roundtrip(backend, tmp_path, make_dataset())
+        # Only the published blob is left: no temps, no partial files.
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"k{COLUMNAR_SUFFIX}"]
 
 
 class TestCrossFormatEquality:
+    """The gzip-TSV format of :mod:`repro.pdns.io` is the oracle: a
+    cached day must equal the same day round-tripped through it."""
+
     def test_loaded_days_identical_across_backends(self, tmp_path):
         dataset = make_dataset()
-        columnar = FpDnsArtifactCache(tmp_path / "c",
-                                      artifact_format="columnar")
-        tsv = FpDnsArtifactCache(tmp_path / "t", artifact_format="tsv")
-        columnar.store("k", dataset)
-        tsv.store("k", dataset)
-        from_columnar = columnar.load("k")
-        from_tsv = tsv.load("k")
-        assert isinstance(from_columnar, ColumnarFpDnsDataset)
-        assert from_columnar == from_tsv
-        assert from_tsv.below == from_columnar.below
-        assert from_tsv.above == from_columnar.above
+        cache = FpDnsArtifactCache(tmp_path)
+        cache.store("k", dataset)
+        loaded = cache.load("k")
+        oracle = loads_fpdns(dumps_fpdns(dataset))
+        assert isinstance(loaded, ColumnarFpDnsDataset)
+        assert loaded.day == oracle.day
+        assert loaded.below == oracle.below
+        assert loaded.above == oracle.above
+        assert loaded == oracle
+        assert loaded == dataset
 
     def test_columnar_roundtrips_a_tsv_loaded_day(self, tmp_path):
         """tsv -> load -> columnar store -> load is still the same day."""
         dataset = make_dataset()
-        tsv = FpDnsArtifactCache(tmp_path, artifact_format="tsv")
-        tsv.store("k", dataset)
-        relay = FpDnsArtifactCache(tmp_path, artifact_format="columnar")
-        relay.store("k", tsv.load("k"))
-        assert relay.load("k") == dataset
-
-    def test_backends_share_key_material(self):
-        """Keys are format-independent: a day simulated once can be
-        stored under both suffixes with the same key."""
-        key = artifact_key(SimulatorConfig(), PAPER_DATES[:1])
-        assert ARTIFACT_FORMAT in ("repro-fpdns-cache-v1",)
-        assert key == artifact_key(SimulatorConfig(), PAPER_DATES[:1])
+        cache = FpDnsArtifactCache(tmp_path)
+        cache.store("k", loads_fpdns(dumps_fpdns(dataset)))
+        assert cache.load("k") == dataset

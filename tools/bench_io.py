@@ -1,8 +1,8 @@
 """Record the artifact-store IO baseline: gzip-TSV vs fpDNS-v2 columnar.
 
-Times both storage backends of the fpDNS artifact cache on a fixed
-simulated workload and writes the numbers to ``BENCH_io.json`` at the
-repo root:
+Times the gzip-TSV import/export format against fpDNS-v2, the format
+of the fpDNS artifact cache, on a fixed simulated workload and writes
+the numbers to ``BENCH_io.json`` at the repo root:
 
 * **save** — serialise each bench day to disk (``save_fpdns`` vs
   ``save_fpdns2``);
@@ -10,14 +10,14 @@ repo root:
   and rebuilds every entry; ``load_fpdns2`` hands back numpy columns
   and a pre-built digest);
 * **warm end-to-end** — the real warm-session path: load every day
-  from disk, take its digest, mine it.  For the TSV backend that is
+  from disk, take its digest, mine it.  For the TSV format that is
   load -> build_day_digest -> mine; for columnar it is disk -> numpy
   -> digest -> mine with zero entry materialisation.
 
 Every timed path is asserted equal to the in-memory oracle while being
 timed: loaded days compare equal to the simulated originals (entry
 lists and digest columns) and mining results are identical across
-backends.  Timing lives here in ``tools/`` because ``src/repro`` is
+formats.  Timing lives here in ``tools/`` because ``src/repro`` is
 wall-clock-free by the determinism contract (reprolint R001).
 
 Usage::
@@ -51,11 +51,11 @@ from repro.core.classifier import LadTreeClassifier  # noqa: E402
 from repro.core.features import FeatureExtractor  # noqa: E402
 from repro.core.hitrate import hit_rates_from_digest  # noqa: E402
 from repro.core.interning import (STREAM_FIELDS,  # noqa: E402
-                                  DayDigest, build_day_digest)
+                                  DayDigest, build_day_digest, digest_of)
 from repro.core.labeling import build_training_set  # noqa: E402
 from repro.core.miner import MinerConfig  # noqa: E402
-from repro.core.mining_pipeline import mine_day  # noqa: E402
 from repro.core.ranking import (DailyMiningResult,  # noqa: E402
+                                DisposableZoneRanker,
                                 build_tree_from_digest)
 from repro.experiments.context import (MEDIUM, SMALL,  # noqa: E402
                                        TRAINING_DATE, ScaleProfile)
@@ -137,8 +137,11 @@ def bench(profile: ScaleProfile, n_days: int,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
     }
-    oracle = [mine_day(dataset, classifier, MinerConfig())
-              for dataset in datasets]
+    def mine(dataset: FpDnsDataset) -> DailyMiningResult:
+        ranker = DisposableZoneRanker(classifier, MinerConfig())
+        return ranker.run_digest(digest_of(dataset))
+
+    oracle = [mine(dataset) for dataset in datasets]
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -189,12 +192,10 @@ def bench(profile: ScaleProfile, n_days: int,
 
         # -- warm end-to-end: load -> digest -> mine ----------------------
         def warm_tsv() -> List[DailyMiningResult]:
-            return [mine_day(load_fpdns(path), classifier, MinerConfig())
-                    for path in tsv_paths]
+            return [mine(load_fpdns(path)) for path in tsv_paths]
 
         def warm_columnar() -> List[DailyMiningResult]:
-            return [mine_day(load_fpdns2(path), classifier, MinerConfig())
-                    for path in col_paths]
+            return [mine(load_fpdns2(path)) for path in col_paths]
 
         tsv_e2e_s, tsv_mined = _best_of(REPEATS, warm_tsv)
         col_e2e_s, col_mined = _best_of(REPEATS, warm_columnar)

@@ -1,27 +1,18 @@
 """Record the mining-pipeline performance baseline.
 
-Times the two single-day mine+analyze paths and the calendar miner on
-a fixed simulated workload and writes the numbers to
-``BENCH_miner.json`` at the repo root:
+Times the two mining paths on a fixed simulated workload and writes
+the numbers to ``BENCH_miner.json`` at the repo root:
 
 * **legacy** — per-entry scans: ``compute_hit_rates`` +
   ``DisposableZoneRanker.run_day`` + the entry-list analysis functions
   (daily report, hourly volumes, clients per name, CHR split);
 * **digest** — one ``build_day_digest`` pass + the columnar
-  counterparts (``run_digest`` and the ``*_from_digest`` analyses);
-* **calendar** — :class:`repro.core.mining_pipeline.CalendarMiner` at
-  1/2/4 workers (identical results, wall-clock only);
-* **result cache** — a cold session that stores every day's mining
-  result, then a warm session that replays it without mining.
+  counterparts (``run_digest`` and the ``*_from_digest`` analyses).
 
-Every timed path is asserted equal to the legacy oracle while being
-timed.  The recorded file captures ``cpu_count``/``available_cpus``;
-on a single schedulable core the multi-worker timings measure process
-overhead, not speedup, and are flagged ``constrained``.  Each parallel
-calendar run also records its IPC payload (``ipc_payload_bytes``, the
-packed digest-column bytes dispatched to workers) next to
-``legacy_pickle_payload_bytes``, what the retired dataset-pickling
-dispatch would have shipped (see docs/PERFORMANCE.md §6).  Timing
+Both are timed on one day (mine + analyze) and over the whole bench
+calendar (mining only, ``run_day`` vs ``run_digest(digest_of(day))``).
+Every timed digest result is asserted equal to the legacy oracle.
+The recorded file captures ``cpu_count``/``available_cpus``.  Timing
 lives here in ``tools/`` because ``src/repro`` is wall-clock-free by
 the determinism contract (reprolint R001).
 
@@ -41,9 +32,7 @@ import argparse
 import gc
 import json
 import os
-import pickle
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -65,11 +54,9 @@ from repro.core.classifier import LadTreeClassifier  # noqa: E402
 from repro.core.features import FeatureExtractor  # noqa: E402
 from repro.core.hitrate import (compute_hit_rates,  # noqa: E402
                                 hit_rates_from_digest)
-from repro.core.interning import build_day_digest  # noqa: E402
+from repro.core.interning import build_day_digest, digest_of  # noqa: E402
 from repro.core.labeling import build_training_set  # noqa: E402
 from repro.core.miner import MinerConfig  # noqa: E402
-from repro.core.mining_pipeline import (CalendarMiner,  # noqa: E402
-                                        MinerResultCache)
 from repro.core.parallelism import available_cpu_count  # noqa: E402
 from repro.core.ranking import (DailyMiningResult,  # noqa: E402
                                 DisposableZoneRanker,
@@ -213,74 +200,31 @@ def bench(profile: ScaleProfile, n_days: int,
     print(f"single day: legacy {legacy_s:.2f}s, digest {digest_s:.2f}s "
           f"(speedup {legacy_s / digest_s:.2f}x, output identical)")
 
-    # -- calendar mining at 1/2/4 workers --------------------------------
-    oracle = [DisposableZoneRanker(classifier, MinerConfig()).run_day(dataset)
-              for dataset in datasets]
-    # What the pre-columnar dispatch would have pickled to the pool:
-    # the datasets themselves, entry lists and all.  The digest-column
-    # dispatch's ``ipc_payload_bytes`` below is the after number.
-    legacy_payload = sum(
-        len(pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL))
-        for dataset in datasets)
-    results["legacy_pickle_payload_bytes"] = legacy_payload
-    print(f"legacy pickled payload: {legacy_payload} bytes")
-
-    serial_results: Optional[List[DailyMiningResult]] = None
-    calendar_timings: Dict[str, float] = {}
-    ipc_payloads: Dict[str, int] = {}
-    for n_workers in (1, 2, 4):
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=n_workers)
+    # -- calendar mining: legacy per-entry vs digest, day by day --------
+    # Same collector discipline as the single-day groups above.
+    ranker = DisposableZoneRanker(classifier, MinerConfig())
+    gc.collect()
+    gc.disable()
+    try:
         start = time.perf_counter()
-        mined = miner.mine_calendar(datasets)
-        elapsed = time.perf_counter() - start
-        for reference, candidate in zip(oracle, mined):
-            _check_results_equal(reference, candidate,
-                                 f"calendar(n_workers={n_workers})")
-        if serial_results is None:
-            serial_results = mined
-        else:
-            assert mined == serial_results, \
-                f"n_workers={n_workers} diverged from the 1-worker run"
-        calendar_timings[str(n_workers)] = round(elapsed, 3)
-        ipc = miner.last_ipc
-        assert ipc is not None
-        ipc_payloads[str(n_workers)] = ipc.payload_bytes
-        print(f"calendar n_workers={n_workers}: {elapsed:.2f}s "
-              f"(ipc {ipc.mode} {ipc.payload_bytes} bytes, "
-              "output identical)")
-        if ipc.payload_bytes:
-            results["ipc_mode"] = ipc.mode
-    results["calendar_s"] = calendar_timings
-    results["ipc_payload_bytes"] = ipc_payloads
-    if available_cpu_count() == 1:
-        # Multi-worker numbers on a single core measure process
-        # overhead, not parallel speedup — flag them so readers (and
-        # tooling) do not compare them against multi-core baselines.
-        results["constrained"] = True
-
-    # -- miner result cache: cold store, warm replay ---------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        cold_cache = MinerResultCache(tmp)
-        cold_miner = CalendarMiner(classifier, MinerConfig(),
-                                   cache=cold_cache)
+        oracle = [ranker.run_day(dataset) for dataset in datasets]
+        calendar_legacy_s = time.perf_counter() - start
+        gc.collect()
         start = time.perf_counter()
-        cold = cold_miner.mine_calendar(datasets)
-        cold_s = time.perf_counter() - start
-        warm_cache = MinerResultCache(tmp)
-        warm_miner = CalendarMiner(classifier, MinerConfig(),
-                                   cache=warm_cache)
-        start = time.perf_counter()
-        warm = warm_miner.mine_calendar(datasets)
-        warm_s = time.perf_counter() - start
-        assert warm_cache.misses == 0, "warm session missed the cache"
-        assert warm == cold, "cache replay diverged from the cold run"
-        for reference, candidate in zip(oracle, warm):
-            _check_results_equal(reference, candidate, "cache replay")
-    results["cache_cold_s"] = round(cold_s, 3)
-    results["cache_warm_s"] = round(warm_s, 3)
-    results["cache_warm_speedup"] = round(cold_s / warm_s, 2)
-    print(f"result cache: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
-          f"(speedup {cold_s / warm_s:.2f}x, {warm_cache.hits} hits, "
+        mined = [ranker.run_digest(digest_of(dataset))
+                 for dataset in datasets]
+        calendar_digest_s = time.perf_counter() - start
+    finally:
+        gc.enable()
+    for reference, candidate in zip(oracle, mined):
+        _check_results_equal(reference, candidate, "calendar digest mining")
+    results["calendar_legacy_s"] = round(calendar_legacy_s, 3)
+    results["calendar_digest_s"] = round(calendar_digest_s, 3)
+    results["calendar_speedup"] = round(
+        calendar_legacy_s / calendar_digest_s, 2)
+    print(f"calendar ({len(datasets)} days): legacy "
+          f"{calendar_legacy_s:.2f}s, digest {calendar_digest_s:.2f}s "
+          f"(speedup {calendar_legacy_s / calendar_digest_s:.2f}x, "
           "output identical)")
     return results
 
