@@ -37,14 +37,10 @@ class ServeSettings:
     model_path: Optional[str] = None
     threshold: float = 0.9
     min_group_size: int = 5
-    cache_size: int = 4096
-    max_batch: int = 512
-    batch_window_s: float = 0.002
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(threshold=self.threshold,
-                            min_group_size=self.min_group_size,
-                            cache_size=self.cache_size)
+                            min_group_size=self.min_group_size)
 
     def scale_profile(self) -> ScaleProfile:
         if self.profile not in PROFILES:
@@ -78,6 +74,4 @@ def build_server(settings: ServeSettings,
     """A bound (not yet serving) daemon for ``settings``."""
     if engine is None:
         engine = build_engine(settings)
-    return make_server(engine, settings.host, settings.port,
-                       max_batch=settings.max_batch,
-                       window_s=settings.batch_window_s)
+    return make_server(engine, settings.host, settings.port)

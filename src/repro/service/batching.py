@@ -1,19 +1,16 @@
-"""Micro-batching request queue for the serving daemon.
+"""Request queue in front of the classification engine.
 
 The HTTP layer handles each request on its own thread
-(``ThreadingHTTPServer``), but the engine is fastest when concurrent
-lookups are coalesced into one vectorised ``classify_batch`` call.
-:class:`MicroBatcher` sits between the two: request threads submit
-their qnames and block; a single worker thread drains the queue,
-waits one short coalescing window for stragglers, classifies the
-union in one engine call, and slices the verdicts back per request.
+(``ThreadingHTTPServer``); :class:`MicroBatcher` is the one thread that
+calls the engine.  Request threads submit their qnames and block; the
+worker drains whatever has queued (up to :data:`MAX_DRAIN_NAMES`
+qnames), classifies the union in one engine call, and slices the
+verdicts back per request.
 
-The worker also serialises all engine access, so the engine and its
-verdict cache need no locking of their own.
-
-No explicit clock reads (the repro package bans them for determinism,
-rule R001): the coalescing window is expressed purely as the timeout
-of a single ``Condition.wait`` call.
+There is no coalescing wait: a lone request is served at once, and
+requests that arrive while the engine is busy ride the next call.  The
+worker serialises all engine access, so the engine's counters need no
+locking of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +21,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.service.engine import Verdict
 
-__all__ = ["MicroBatcher"]
+__all__ = ["MicroBatcher", "MAX_DRAIN_NAMES"]
+
+#: Soft cap on qnames per engine call.  Whole requests are never
+#: split; draining stops once the cap is reached or passed.
+MAX_DRAIN_NAMES = 512
 
 
 class _PendingRequest:
@@ -40,32 +41,15 @@ class _PendingRequest:
 
 
 class MicroBatcher:
-    """Coalesces concurrent classify requests into engine batches.
+    """Serves concurrent classify requests from one worker thread.
 
-    Parameters
-    ----------
-    classify:
-        The batched classify function (one call per drained batch) —
-        normally ``ClassificationEngine.classify_batch``.
-    max_batch:
-        Soft cap on qnames per engine call.  Whole requests are never
-        split; draining stops once the cap is reached or passed.
-    window_s:
-        Coalescing window: after the first pending request is seen,
-        the worker waits at most this long (one ``Condition.wait``
-        timeout) for more arrivals before classifying.  ``0`` disables
-        the wait.
+    ``classify`` is the batched classify function (one call per drained
+    batch) — normally ``ClassificationEngine.classify_batch``.
     """
 
-    def __init__(self, classify: Callable[[Sequence[str]], List[Verdict]],
-                 max_batch: int = 512, window_s: float = 0.002) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
+    def __init__(self,
+                 classify: Callable[[Sequence[str]], List[Verdict]]) -> None:
         self._classify = classify
-        self.max_batch = max_batch
-        self.window_s = window_s
         self._cond = threading.Condition()
         self._queue: Deque[_PendingRequest] = deque()
         self._closed = False
@@ -115,7 +99,7 @@ class MicroBatcher:
             self._serve(batch)
 
     def _next_batch(self) -> Optional[List[_PendingRequest]]:
-        """Block for work, coalesce briefly, and drain one batch.
+        """Block for work and drain one batch of what has queued.
 
         Returns ``None`` when closed and fully drained.
         """
@@ -124,14 +108,9 @@ class MicroBatcher:
                 if self._closed:
                     return None
                 self._cond.wait()
-            if self.window_s > 0 and not self._closed:
-                # One bounded wait so concurrent request threads can
-                # land in the same engine call.  Whatever has arrived
-                # when it returns is the batch.
-                self._cond.wait(timeout=self.window_s)
             batch: List[_PendingRequest] = []
             total = 0
-            while self._queue and total < self.max_batch:
+            while self._queue and total < MAX_DRAIN_NAMES:
                 request = self._queue.popleft()
                 batch.append(request)
                 total += len(request.qnames)

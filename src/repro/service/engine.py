@@ -1,4 +1,4 @@
-"""Batched, vectorised qname classification engine.
+"""Qname classification engine over a precomputed verdict table.
 
 The offline pipeline answers "which (zone, depth) groups of this day
 are disposable?"; the serving engine answers the online question —
@@ -9,36 +9,32 @@ holds:
   fitted LAD tree flattened into parallel stump arrays),
 * the day's mining tree and hit-rate table, wrapped in a
   :class:`~repro.core.features.FeatureExtractor`, and
-* a (zone, depth)-keyed :class:`VerdictCache` so repeat traffic
-  short-circuits feature extraction entirely.
+* a frozen ``(zone, depth) → verdict`` table.  The tree, hit rates and
+  model never change after construction, and a group's members come
+  from the tree, not from the request, so every group verdict is a
+  pure function of a key set fixed at load.  The constructor scores
+  every qualifying group once, in one stacked ``decision_function``
+  call, and serving never extracts features again.
 
 Two code paths produce :class:`Verdict` objects:
 
 * :meth:`ClassificationEngine.classify_one` — the per-name **oracle**:
-  no interning, no caching, one fresh ``depth_groups`` walk and one
+  it never reads the table; one fresh ``depth_groups`` walk and one
   1-row ``decision_function`` call per qname.  Slow by construction;
   it defines the semantics.
-* :meth:`ClassificationEngine.classify_batch` — the fast path, three
-  cache levels deep.  Every qname first probes a per-qname verdict
-  memo (one dict get — legal because the engine's tree, hit rates and
-  model are immutable for its lifetime, so a qname's verdict can
-  never change).  Missing qnames are interned through a
-  :class:`~repro.core.interning.NameTable`, distinct names resolve to
-  (zone, depth) group keys, the verdict cache is probed per key, and
-  every *cold* qualifying group's 8-feature vector is stacked into
-  one matrix scored by a single ``decision_function`` call.
+* :meth:`ClassificationEngine.classify_batch` — the serving path:
+  per qname, resolve (normalize → effective 2LD → depth) and one table
+  probe.  A key the table lacks is an ``unknown-group``.
 
-The batch path returns *exactly* the oracle's verdicts (dataclass
-equality, asserted while timed in ``tools/bench_serve.py``): the
-compiled model scores each row independently of its batchmates, and
-the sigmoid is evaluated with the same scalar ``math.exp`` in both
-paths.
+The two return *exactly* the same verdicts (dataclass equality,
+asserted while timed in ``tools/bench_serve.py``): the compiled model
+scores each row independently of its batchmates, and the sigmoid is
+evaluated with the same scalar ``math.exp`` in both paths.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,14 +43,13 @@ import numpy as np
 from repro.core.classifier.compiled import CompiledLadTree
 from repro.core.features import FeatureExtractor
 from repro.core.hitrate import HitRateTable, hit_rates_from_digest
-from repro.core.interning import DayDigest, NameTable
+from repro.core.interning import DayDigest
 from repro.core.names import InvalidDomainError, label_count, normalize
 from repro.core.ranking import build_tree_from_digest
 from repro.core.suffix import SuffixList, default_suffix_list
 from repro.core.tree import DomainNameTree
 
-__all__ = ["EngineConfig", "Verdict", "VerdictCache",
-           "ClassificationEngine"]
+__all__ = ["EngineConfig", "Verdict", "ClassificationEngine"]
 
 GroupKey = Tuple[str, int]
 
@@ -65,13 +60,11 @@ class EngineConfig:
 
     ``threshold`` mirrors the miner's θ: a group is called disposable
     when P(disposable) ≥ θ.  ``min_group_size`` mirrors the miner's
-    guard against statistically meaningless groups.  ``cache_size``
-    bounds the verdict cache (LRU entries, one per (zone, depth)).
+    guard against statistically meaningless groups.
     """
 
     threshold: float = 0.9
     min_group_size: int = 5
-    cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
@@ -80,9 +73,6 @@ class EngineConfig:
         if self.min_group_size < 1:
             raise ValueError(
                 f"min_group_size must be >= 1, got {self.min_group_size}")
-        if self.cache_size < 1:
-            raise ValueError(
-                f"cache_size must be >= 1, got {self.cache_size}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class _GroupVerdict:
-    """Cached per-(zone, depth) outcome, shared by every member qname."""
+    """Per-(zone, depth) outcome, shared by every member qname."""
 
     reason: str
     disposable: bool
@@ -132,46 +122,9 @@ class _GroupVerdict:
     group_size: int
 
 
-class VerdictCache:
-    """(zone, depth)-keyed LRU over :class:`_GroupVerdict` entries."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[GroupKey, _GroupVerdict]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: GroupKey) -> Optional[_GroupVerdict]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: GroupKey, verdict: _GroupVerdict) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = verdict
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"size": len(self._entries), "capacity": self.capacity,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+def _small_group(group_size: int) -> _GroupVerdict:
+    return _GroupVerdict(reason="small-group", disposable=False, score=0.0,
+                         probability=0.0, group_size=group_size)
 
 
 def _probability(score: float) -> float:
@@ -199,29 +152,13 @@ class ClassificationEngine:
         self._tree = tree
         self._extractor = FeatureExtractor(tree, hit_rates)
         self._suffixes = suffixes or default_suffix_list()
-        self.cache = VerdictCache(self.config.cache_size)
-        # Per-qname resolution memo for the batch path (normalize +
-        # effective-2LD + depth are pure string work, and live traffic
-        # repeats the same names endlessly).  Bounded by periodic
-        # reset: when full it is cleared outright, which keeps the
-        # daemon's footprint flat without LRU bookkeeping on the
-        # per-name hot path.
-        self._resolve_memo: Dict[str, Tuple[str, str, int,
-                                            Optional[str]]] = {}
-        self._resolve_memo_limit = max(8 * self.config.cache_size, 65_536)
-        # Front-line qname → Verdict memo for the batch path.  The
-        # engine's tree, hit-rate table and model never change after
-        # construction, so a qname's verdict is a pure function of the
-        # engine — memoised verdicts can never go stale.  Same bounded
-        # clear-outright policy as the resolve memo.
-        self._verdict_memo: Dict[str, Verdict] = {}
-        self._verdict_memo_limit = max(16 * self.config.cache_size, 65_536)
         # Monotonic counters for /metrics (ints; read without locking).
         self.single_calls = 0
         self.batch_calls = 0
         self.names_classified = 0
         self.groups_extracted = 0
         self.disposable_verdicts = 0
+        self._table = self._build_table()
 
     @classmethod
     def from_digest(cls, digest: DayDigest, model: CompiledLadTree, *,
@@ -234,6 +171,49 @@ class ClassificationEngine:
         return cls(model, build_tree_from_digest(digest),
                    hit_rates_from_digest(digest),
                    suffixes=suffixes, config=config)
+
+    @property
+    def table_groups(self) -> int:
+        """Entries in the verdict table: every (zone, depth) group."""
+        return len(self._table)
+
+    # -- the verdict table -----------------------------------------------
+
+    def _zones(self) -> List[str]:
+        """Every tree node a qname can resolve to as its zone: a node
+        with a black descendant that is its own registrable domain.
+
+        Walks all nodes, not only the 2LDs of black names: under a
+        suffix rule nested below a registrable domain (``y.example.com``
+        with black ``h0.y.example.com``) the zone ``example.com`` has
+        no black name of its own, yet ``q.x.example.com`` resolves to
+        it and its depth-4 group.
+        """
+        return [node.name for node in self._tree.root.iter_descendants()
+                if node.has_black_descendant()
+                and self._suffixes.effective_2ld(node.name) == node.name]
+
+    def _build_table(self) -> Dict[GroupKey, _GroupVerdict]:
+        """Score every (zone, depth) group once: small groups get their
+        terminal entry, qualifying ones are feature-extracted and scored
+        in one stacked model call."""
+        table: Dict[GroupKey, _GroupVerdict] = {}
+        qualifying: List[Tuple[GroupKey, List[str]]] = []
+        for zone in self._zones():
+            for depth, group in self._tree.depth_groups(zone).items():
+                if len(group) < self.config.min_group_size:
+                    table[(zone, depth)] = _small_group(len(group))
+                else:
+                    qualifying.append(((zone, depth), group))
+        if qualifying:
+            matrix = np.vstack([
+                self._extractor.features_for(zone, depth, group).vector()
+                for (zone, depth), group in qualifying])
+            self.groups_extracted += len(qualifying)
+            scores = self._model.decision_function(matrix)
+            for (key, group), score in zip(qualifying, scores):
+                table[key] = self._classified(float(score), len(group))
+        return table
 
     # -- name resolution -----------------------------------------------
 
@@ -256,18 +236,6 @@ class ClassificationEngine:
             return name, zone, depth, "zone-apex"
         return name, zone, depth, None
 
-    def _resolve_cached(self, qname: str) -> Tuple[str, str, int,
-                                                   Optional[str]]:
-        """Memoised :meth:`_resolve` — batch path only; the oracle
-        (:meth:`classify_one`) deliberately stays cache-free."""
-        hit = self._resolve_memo.get(qname)
-        if hit is None:
-            if len(self._resolve_memo) >= self._resolve_memo_limit:
-                self._resolve_memo.clear()
-            hit = self._resolve(qname)
-            self._resolve_memo[qname] = hit
-        return hit
-
     def _terminal(self, qname: str, zone: str, depth: int,
                   reason: str) -> Verdict:
         return Verdict(qname=qname, zone=zone, depth=depth, reason=reason,
@@ -281,6 +249,13 @@ class ClassificationEngine:
                        score=group.score, probability=group.probability,
                        group_size=group.group_size)
 
+    def _classified(self, score: float, group_size: int) -> _GroupVerdict:
+        probability = _probability(score)
+        return _GroupVerdict(reason="classified",
+                             disposable=probability >= self.config.threshold,
+                             score=score, probability=probability,
+                             group_size=group_size)
+
     def _score_group(self, zone: str, depth: int,
                      group: List[str]) -> _GroupVerdict:
         """Extract one group's features and score it (1-row call)."""
@@ -288,20 +263,16 @@ class ClassificationEngine:
         self.groups_extracted += 1
         score = float(self._model.decision_function(
             features.vector().reshape(1, -1))[0])
-        probability = _probability(score)
-        return _GroupVerdict(reason="classified",
-                             disposable=probability >= self.config.threshold,
-                             score=score, probability=probability,
-                             group_size=len(group))
+        return self._classified(score, len(group))
 
     # -- the per-name oracle ---------------------------------------------
 
     def classify_one(self, qname: str) -> Verdict:
         """Classify one qname the slow, obvious way.
 
-        No interning, no verdict cache: a fresh ``depth_groups`` walk
+        Never reads the verdict table: a fresh ``depth_groups`` walk
         and a 1-row model call per invocation.  This is the oracle the
-        batch path is equality-tested against — and the "before" side
+        table path is equality-tested against — and the "before" side
         of the serving benchmark.
         """
         self.single_calls += 1
@@ -313,9 +284,7 @@ class ClassificationEngine:
         if group is None:
             return self._terminal(name, zone, depth, "unknown-group")
         if len(group) < self.config.min_group_size:
-            outcome = _GroupVerdict(reason="small-group", disposable=False,
-                                    score=0.0, probability=0.0,
-                                    group_size=len(group))
+            outcome = _small_group(len(group))
         else:
             outcome = self._score_group(zone, depth, group)
         verdict = self._verdict(name, zone, depth, outcome)
@@ -323,151 +292,29 @@ class ClassificationEngine:
             self.disposable_verdicts += 1
         return verdict
 
-    # -- the batched fast path ---------------------------------------------
+    # -- the serving path ------------------------------------------------
 
     def classify_batch(self, qnames: Sequence[str]) -> List[Verdict]:
-        """Classify a batch of qnames through the vectorised path.
+        """Classify ``qnames`` by resolution plus one table probe each.
 
-        Repeat qnames are served straight from the verdict memo (one
-        dict probe — the cache-warm fast path), the remainder are
-        resolved once each (interning), group verdicts come from the
-        LRU cache when warm, and all cold qualifying groups are scored
-        by a single ``decision_function`` call.  Returns one
-        :class:`Verdict` per input qname, in input order, bit-identical
-        to :meth:`classify_one` on each.
+        Returns one :class:`Verdict` per input qname, in input order,
+        bit-identical to :meth:`classify_one` on each.
         """
         self.batch_calls += 1
         self.names_classified += len(qnames)
-        memo = self._verdict_memo
-        out: List[Optional[Verdict]] = [None] * len(qnames)
-        missing: List[int] = []
-        disposable = 0
-        for index, qname in enumerate(qnames):
-            verdict = memo.get(qname)
-            if verdict is None:
-                missing.append(index)
-            else:
-                out[index] = verdict
-                if verdict.disposable:
-                    disposable += 1
-        if missing:
-            disposable += self._classify_missing(qnames, missing, out)
-        self.disposable_verdicts += disposable
-        return out  # type: ignore[return-value]  # every slot filled
+        verdicts = [self._lookup(qname) for qname in qnames]
+        self.disposable_verdicts += sum(1 for verdict in verdicts
+                                        if verdict.disposable)
+        return verdicts
 
-    def _classify_missing(self, qnames: Sequence[str],
-                          missing: List[int],
-                          out: List[Optional[Verdict]]) -> int:
-        """Slow half of the batch path: classify the positions of
-        ``qnames`` the verdict memo could not answer, filling ``out``
-        in place.  Returns the number of disposable verdicts served."""
-        table = NameTable()
-        name_ids = [table.intern(qnames[index]) for index in missing]
-
-        # Resolve each distinct qname once: either a terminal verdict
-        # or a (zone, depth) group key.
-        resolved: List[Tuple[str, str, int, Optional[str]]] = [
-            self._resolve_cached(raw) for raw in table.names]
-        # Group keys whose verdict is not cached, in first-appearance
-        # order (deterministic extraction order).
-        pending: "OrderedDict[GroupKey, Optional[List[str]]]" = OrderedDict()
-        cached: Dict[GroupKey, _GroupVerdict] = {}
-        for name, zone, depth, terminal in resolved:
-            if terminal is not None:
-                continue
-            key = (zone, depth)
-            if key in cached or key in pending:
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                cached[key] = hit
-            else:
-                pending[key] = None
-
-        if pending:
-            self._score_pending(pending, cached)
-
-        verdicts_by_id: List[Verdict] = []
-        for name, zone, depth, terminal in resolved:
-            if terminal is not None:
-                verdicts_by_id.append(
-                    self._terminal(name, zone, depth, terminal))
-            else:
-                verdicts_by_id.append(
-                    self._verdict(name, zone, depth, cached[(zone, depth)]))
-        # Memoise under the *raw* spelling (the memo key future batches
-        # probe with); the verdict itself carries the normalized qname.
-        memo = self._verdict_memo
-        if len(memo) + len(table.names) > self._verdict_memo_limit:
-            memo.clear()
-        for raw, verdict in zip(table.names, verdicts_by_id):
-            memo[raw] = verdict
-
-        disposable = 0
-        for position, nid in zip(missing, name_ids):
-            verdict = verdicts_by_id[nid]
-            out[position] = verdict
-            if verdict.disposable:
-                disposable += 1
-        return disposable
-
-    def _score_pending(self, pending: "OrderedDict[GroupKey, Optional[List[str]]]",
-                       cached: Dict[GroupKey, _GroupVerdict]) -> None:
-        """Resolve every cold group key: non-qualifying keys get their
-        terminal group verdict; qualifying groups are feature-extracted
-        columnarly and scored in one stacked model call."""
-        groups_by_zone: Dict[str, Dict[int, List[str]]] = {}
-        qualifying: List[Tuple[GroupKey, List[str]]] = []
-        for key in pending:
-            zone, depth = key
-            zone_groups = groups_by_zone.get(zone)
-            if zone_groups is None:
-                zone_groups = self._tree.depth_groups(zone)
-                groups_by_zone[zone] = zone_groups
-            group = zone_groups.get(depth)
-            if group is None:
-                outcome = _GroupVerdict(reason="unknown-group",
-                                        disposable=False, score=0.0,
-                                        probability=0.0, group_size=0)
-            elif len(group) < self.config.min_group_size:
-                outcome = _GroupVerdict(reason="small-group",
-                                        disposable=False, score=0.0,
-                                        probability=0.0,
-                                        group_size=len(group))
-            else:
-                qualifying.append((key, group))
-                continue
-            cached[key] = outcome
-            self.cache.put(key, outcome)
-        if not qualifying:
-            return
-        matrix = np.vstack([
-            self._extractor.features_for(zone, depth, group).vector()
-            for (zone, depth), group in qualifying])
-        self.groups_extracted += len(qualifying)
-        scores = self._model.decision_function(matrix)
-        for ((key, group), raw_score) in zip(qualifying, scores):
-            score = float(raw_score)
-            probability = _probability(score)
-            outcome = _GroupVerdict(
-                reason="classified",
-                disposable=probability >= self.config.threshold,
-                score=score, probability=probability,
-                group_size=len(group))
-            cached[key] = outcome
-            self.cache.put(key, outcome)
-
-    # -- maintenance -------------------------------------------------------
-
-    def clear_caches(self) -> None:
-        """Forget every memoised verdict and resolution — the engine's
-        cold-start state.  Counters are kept.  (Values can never go
-        *stale* — the engine is immutable — so this exists for
-        benchmarking cold paths and for reclaiming memory, not for
-        correctness.)"""
-        self.cache.clear()
-        self._verdict_memo.clear()
-        self._resolve_memo.clear()
+    def _lookup(self, qname: str) -> Verdict:
+        name, zone, depth, terminal = self._resolve(qname)
+        if terminal is None:
+            group = self._table.get((zone, depth))
+            if group is not None:
+                return self._verdict(name, zone, depth, group)
+            terminal = "unknown-group"
+        return self._terminal(name, zone, depth, terminal)
 
     # -- metrics -----------------------------------------------------------
 

@@ -5,13 +5,17 @@ Endpoints:
 * ``POST /classify`` — body ``{"qname": "x.example.com"}`` for a
   single verdict, or ``{"qnames": [...]}`` for a batch.  Both shapes
   go through the shared :class:`~repro.service.batching.MicroBatcher`,
-  so concurrent requests coalesce into one vectorised engine call.
+  the one thread that calls the engine.
 * ``GET /metrics`` — Prometheus-style text exposition of the request,
-  engine, verdict-cache and batcher counters.
+  engine and batcher counters and the verdict-table size.
 * ``GET /healthz`` — liveness probe.
 
 Built on ``http.server.ThreadingHTTPServer`` only — the repo has no
-web-framework dependency and the daemon must not grow one.
+web-framework dependency and the daemon must not grow one.  Responses
+go out with ``TCP_NODELAY``: the handler writes the headers and the
+body separately, and with Nagle's algorithm on, the body waits for the
+client to ACK the headers — up to a delayed-ACK timeout (~40 ms on
+Linux) per request on a keep-alive connection.
 """
 
 from __future__ import annotations
@@ -40,12 +44,10 @@ class ClassifyServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 engine: ClassificationEngine, *,
-                 max_batch: int = 512, window_s: float = 0.002) -> None:
+                 engine: ClassificationEngine) -> None:
         super().__init__(address, _ClassifyHandler)
         self.engine = engine
-        self.batcher = MicroBatcher(engine.classify_batch,
-                                    max_batch=max_batch, window_s=window_s)
+        self.batcher = MicroBatcher(engine.classify_batch)
         self._counter_lock = threading.Lock()
         self._requests: Dict[str, int] = {}
         self._errors = 0
@@ -85,15 +87,10 @@ class ClassifyServer(ThreadingHTTPServer):
                      "Requests answered with a 4xx/5xx status.")
         lines.append("# TYPE repro_serve_request_errors_total counter")
         lines.append(f"repro_serve_request_errors_total {errors}")
-        gauges = {"repro_serve_verdict_cache_size":
-                  ("Resident verdict-cache entries.",
-                   self.engine.cache.stats()["size"])}
+        gauges = {"repro_serve_verdict_table_groups":
+                  ("(zone, depth) groups in the verdict table.",
+                   self.engine.table_groups)}
         counters = {}
-        for name, value in self.engine.cache.stats().items():
-            if name in ("size", "capacity"):
-                continue
-            counters[f"repro_serve_verdict_cache_{name}_total"] = (
-                f"Verdict cache {name}.", value)
         for name, value in self.engine.stats().items():
             counters[f"repro_serve_engine_{name}_total"] = (
                 f"Engine {name.replace('_', ' ')}.", value)
@@ -116,6 +113,7 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
 
     server: ClassifyServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 
@@ -224,9 +222,7 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
 
 
 def make_server(engine: ClassificationEngine, host: str = "127.0.0.1",
-                port: int = 0, *, max_batch: int = 512,
-                window_s: float = 0.002) -> ClassifyServer:
+                port: int = 0) -> ClassifyServer:
     """Bind a :class:`ClassifyServer`; ``port=0`` picks an ephemeral
     port (read it back from ``server.server_address``)."""
-    return ClassifyServer((host, port), engine,
-                          max_batch=max_batch, window_s=window_s)
+    return ClassifyServer((host, port), engine)

@@ -115,9 +115,10 @@ class TestServeCommand:
             cli.main(["serve", "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--host", "--port", "--profile", "--model",
-                     "--threshold", "--max-batch", "--batch-window-ms"):
-            assert flag in out
+        flags = {token.rstrip(",") for token in out.split()
+                 if token.startswith("--")}
+        assert flags == {"--help", "--host", "--port", "--profile",
+                         "--model", "--threshold", "--min-group-size"}
 
     def test_serve_rejects_unknown_profile(self, capsys):
         with pytest.raises(SystemExit):
@@ -150,13 +151,12 @@ class TestServeCommand:
 
         monkeypatch.setattr(service_app, "build_server", fake_build_server)
         assert cli.main(["serve", "--port", "0", "--profile", "small",
-                         "--threshold", "0.8", "--batch-window-ms", "1.5",
-                         "--cache-size", "128"]) == 0
+                         "--threshold", "0.8",
+                         "--min-group-size", "7"]) == 0
         settings = captured["settings"]
         assert settings.port == 0
         assert settings.threshold == 0.8
-        assert settings.cache_size == 128
-        assert settings.batch_window_s == pytest.approx(0.0015)
+        assert settings.engine_config().min_group_size == 7
         assert captured["served"]
         assert captured["closed"]
         assert captured["batcher_closed"]

@@ -2,7 +2,7 @@
 
 The expensive artifacts (simulated day → digest, trained + compiled
 model) are session-scoped; the engine itself is function-scoped
-because tests mutate its caches and counters.
+because tests read its counters.
 """
 
 from __future__ import annotations

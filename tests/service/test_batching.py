@@ -1,13 +1,14 @@
-"""The micro-batching request queue."""
+"""The request queue in front of the engine."""
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import List, Sequence
 
 import pytest
 
-from repro.service.batching import MicroBatcher
+from repro.service.batching import MAX_DRAIN_NAMES, MicroBatcher
 from repro.service.engine import Verdict
 
 
@@ -23,7 +24,7 @@ def fake_classify(qnames: Sequence[str]) -> List[Verdict]:
 
 @pytest.fixture
 def batcher():
-    instance = MicroBatcher(fake_classify, max_batch=8, window_s=0.005)
+    instance = MicroBatcher(fake_classify)
     yield instance
     instance.close()
 
@@ -61,12 +62,69 @@ class TestSubmit:
         assert batcher.requests == 6
         assert batcher.names == 18
 
-    def test_zero_window_still_serves(self):
-        batcher = MicroBatcher(fake_classify, window_s=0.0)
+
+
+def _wait_for_queue(batcher: MicroBatcher, length: int) -> None:
+    """Block until ``length`` requests are queued (so the test queues
+    them one at a time, in order)."""
+    for _ in range(10_000):
+        with batcher._cond:
+            if len(batcher._queue) == length:
+                return
+        time.sleep(0.001)
+    raise AssertionError(f"queue never reached {length} requests")
+
+
+class TestDraining:
+    """While the worker is inside ``classify``, later requests queue;
+    the next engine call drains them together, up to the name cap."""
+
+    def _drained_batches(self, request_sizes: List[int]) -> List[int]:
+        """Names per engine call when ``request_sizes`` queue up behind
+        one held request."""
+        release = threading.Event()
+        entered = threading.Event()
+        batch_sizes: List[int] = []
+
+        def gated(qnames: Sequence[str]) -> List[Verdict]:
+            batch_sizes.append(len(qnames))
+            entered.set()
+            release.wait(10)
+            return fake_classify(qnames)
+
+        batcher = MicroBatcher(gated)
+        threads = [threading.Thread(target=batcher.submit,
+                                    args=(["held.example.com"],))]
+        threads[0].start()
         try:
-            assert len(batcher.submit(["x.example.com"])) == 1
+            assert entered.wait(10)
+            for index, size in enumerate(request_sizes):
+                thread = threading.Thread(
+                    target=batcher.submit,
+                    args=([f"r{index}-{i}.example.com"
+                           for i in range(size)],))
+                thread.start()
+                threads.append(thread)
+                _wait_for_queue(batcher, index + 1)
         finally:
+            release.set()
+            for thread in threads:
+                thread.join(10)
             batcher.close()
+        assert batcher.requests == 1 + len(request_sizes)
+        return batch_sizes
+
+    def test_queued_requests_coalesce_into_one_call(self):
+        assert self._drained_batches([2, 3, 4]) == [1, 9]
+
+    def test_name_cap_splits_batches(self):
+        half = MAX_DRAIN_NAMES // 2
+        # The first two requests reach the cap; the third waits for
+        # the next call.  A request is never split.
+        assert self._drained_batches([half, half, 1]) == \
+            [1, 2 * half, 1]
+        assert self._drained_batches([half + 1, MAX_DRAIN_NAMES, 3]) == \
+            [1, half + 1 + MAX_DRAIN_NAMES, 3]
 
 
 class TestErrorPropagation:
@@ -74,7 +132,7 @@ class TestErrorPropagation:
         def broken(qnames: Sequence[str]) -> List[Verdict]:
             raise RuntimeError("model on fire")
 
-        batcher = MicroBatcher(broken, window_s=0.0)
+        batcher = MicroBatcher(broken)
         try:
             with pytest.raises(RuntimeError, match="model on fire"):
                 batcher.submit(["a.example.com"])
@@ -88,7 +146,7 @@ class TestErrorPropagation:
         def short(qnames: Sequence[str]) -> List[Verdict]:
             return []
 
-        batcher = MicroBatcher(short, window_s=0.0)
+        batcher = MicroBatcher(short)
         try:
             with pytest.raises(RuntimeError, match="0 verdicts"):
                 batcher.submit(["a.example.com"])
@@ -107,13 +165,6 @@ class TestLifecycle:
         batcher = MicroBatcher(fake_classify)
         batcher.close()
         batcher.close()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_batch": 0}, {"window_s": -0.001},
-    ])
-    def test_constructor_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            MicroBatcher(fake_classify, **kwargs)
 
     def test_stats_keys(self, batcher):
         batcher.submit(["a.example.com"])

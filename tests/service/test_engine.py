@@ -1,11 +1,13 @@
-"""The batched classification engine against its per-name oracle."""
+"""The verdict-table engine against its per-name oracle."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.engine import (ClassificationEngine, EngineConfig,
-                                  VerdictCache, _GroupVerdict)
+from repro.core.hitrate import HitRateTable
+from repro.core.suffix import default_suffix_list
+from repro.core.tree import DomainNameTree
+from repro.service.engine import ClassificationEngine, EngineConfig
 
 ODD_QNAMES = [
     "",                          # invalid: empty
@@ -17,6 +19,23 @@ ODD_QNAMES = [
     "a.b.never-seen-zone-qq.com",  # zone absent from the mining tree
 ]
 
+#: A suffix rule nested under a registrable domain: ``example.com``
+#: holds no black name of its own (every black name's registrable
+#: domain is some ``hN.y.example.com``), yet ``q.x.example.com``
+#: resolves to it and to its depth-4 group ``h0..h5.y.example.com``.
+NESTED_RULE = "y.example.com"
+NESTED_TREE = [f"h{i}.y.example.com" for i in range(6)]
+NESTED_QNAMES = ["q.x.example.com", "q.example.com", "example.com",
+                 "y.example.com", "h0.y.example.com",
+                 "a.h0.y.example.com", "z.y.example.com"]
+
+
+@pytest.fixture
+def nested_engine(tiny_compiled_model):
+    return ClassificationEngine(
+        tiny_compiled_model, DomainNameTree(NESTED_TREE), HitRateTable({}),
+        suffixes=default_suffix_list().extended([NESTED_RULE]))
+
 
 class TestBatchOracleEquality:
     def test_batch_equals_oracle_on_replayed_traffic(self, tiny_engine,
@@ -26,8 +45,22 @@ class TestBatchOracleEquality:
 
     def test_batch_equals_oracle_warm(self, tiny_engine, tiny_stream):
         oracle = [tiny_engine.classify_one(q) for q in tiny_stream]
-        tiny_engine.classify_batch(tiny_stream)      # populate caches
+        tiny_engine.classify_batch(tiny_stream)
         assert tiny_engine.classify_batch(tiny_stream) == oracle
+
+    def test_batch_equals_oracle_on_every_black_name(self, tiny_engine):
+        names = tiny_engine._tree.black_names()
+        oracle = [tiny_engine.classify_one(q) for q in names]
+        assert tiny_engine.classify_batch(names) == oracle
+        assert {verdict.reason for verdict in oracle} >= {
+            "classified", "small-group", "zone-apex"}
+
+    def test_batch_equals_oracle_under_nested_suffix_rule(self,
+                                                          nested_engine):
+        oracle = [nested_engine.classify_one(q) for q in NESTED_QNAMES]
+        assert nested_engine.classify_batch(NESTED_QNAMES) == oracle
+        assert oracle[0].zone == "example.com"
+        assert oracle[0].reason == "classified"
 
     def test_batch_equals_oracle_on_odd_names(self, tiny_engine):
         oracle = [tiny_engine.classify_one(q) for q in ODD_QNAMES]
@@ -36,7 +69,6 @@ class TestBatchOracleEquality:
     def test_batch_size_does_not_change_verdicts(self, tiny_engine,
                                                  tiny_stream):
         whole = tiny_engine.classify_batch(tiny_stream)
-        tiny_engine.clear_caches()
         sliced = []
         for start in range(0, len(tiny_stream), 37):
             sliced.extend(
@@ -78,82 +110,30 @@ class TestVerdictReasons:
                                  "group_size"}
 
 
-class TestVerdictCache:
-    def test_hit_miss_counters(self):
-        cache = VerdictCache(capacity=2)
-        entry = _GroupVerdict(reason="classified", disposable=True,
-                              score=1.0, probability=0.9, group_size=5)
-        assert cache.get(("a.com", 3)) is None
-        cache.put(("a.com", 3), entry)
-        assert cache.get(("a.com", 3)) is entry
-        assert cache.stats() == {"size": 1, "capacity": 2,
-                                 "hits": 1, "misses": 1, "evictions": 0}
-
-    def test_lru_eviction_order(self):
-        cache = VerdictCache(capacity=2)
-        entry = _GroupVerdict(reason="classified", disposable=False,
-                              score=0.0, probability=0.0, group_size=5)
-        cache.put(("a.com", 3), entry)
-        cache.put(("b.com", 3), entry)
-        cache.get(("a.com", 3))          # a is now most recent
-        cache.put(("c.com", 3), entry)   # evicts b
-        assert cache.get(("b.com", 3)) is None
-        assert cache.get(("a.com", 3)) is entry
-        assert cache.evictions == 1
-
-    def test_clear_keeps_counters(self):
-        cache = VerdictCache(capacity=2)
-        entry = _GroupVerdict(reason="classified", disposable=False,
-                              score=0.0, probability=0.0, group_size=5)
-        cache.put(("a.com", 3), entry)
-        cache.get(("a.com", 3))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            VerdictCache(capacity=0)
-
-
 class TestEngineCaching:
-    def test_tiny_cache_still_matches_oracle(self, tiny_digest,
-                                             tiny_compiled_model,
-                                             tiny_stream):
-        engine = ClassificationEngine.from_digest(
-            tiny_digest, tiny_compiled_model,
-            config=EngineConfig(cache_size=1))
-        oracle = [engine.classify_one(q) for q in tiny_stream]
-        # A 1-entry LRU thrashes but never changes answers; the verdict
-        # memo must be defeated to exercise the cache path repeatedly.
-        for _ in range(2):
-            engine._verdict_memo.clear()
-            assert engine.classify_batch(tiny_stream) == oracle
-        assert engine.cache.evictions > 0
+    """The verdict table is built once; serving adds no state."""
 
     def test_warm_pass_extracts_nothing(self, tiny_engine, tiny_stream):
-        tiny_engine.classify_batch(tiny_stream)
         extracted = tiny_engine.groups_extracted
-        misses = tiny_engine.cache.misses
+        assert extracted > 0              # the table build scored groups
+        tiny_engine.classify_batch(tiny_stream)
         tiny_engine.classify_batch(tiny_stream)
         assert tiny_engine.groups_extracted == extracted
-        assert tiny_engine.cache.misses == misses
 
-    def test_clear_caches_restores_cold_start(self, tiny_engine,
-                                              tiny_stream):
-        oracle = [tiny_engine.classify_one(q) for q in tiny_stream]
-        tiny_engine.classify_batch(tiny_stream)
-        tiny_engine.clear_caches()
-        assert len(tiny_engine.cache) == 0
-        misses = tiny_engine.cache.misses
-        assert tiny_engine.classify_batch(tiny_stream) == oracle
-        assert tiny_engine.cache.misses > misses   # genuinely cold again
+    def test_no_engine_attribute_grows_with_traffic(self, tiny_engine,
+                                                    tiny_stream):
+        def sizes():
+            return {name: len(value)
+                    for name, value in vars(tiny_engine).items()
+                    if hasattr(value, "__len__")}
 
-    def test_verdict_memo_stays_bounded(self, tiny_engine, tiny_stream):
-        tiny_engine._verdict_memo_limit = 16
-        for start in range(0, len(tiny_stream), 50):
-            tiny_engine.classify_batch(tiny_stream[start:start + 50])
-        assert len(tiny_engine._verdict_memo) <= 16 + 50
+        before = sizes()
+        assert before["_table"] == tiny_engine.table_groups > 0
+        novel = [f"n{index}x.{qname}"
+                 for index, qname in enumerate(tiny_stream)]
+        first = tiny_engine.classify_batch(tiny_stream + novel)
+        assert tiny_engine.classify_batch(tiny_stream + novel) == first
+        assert sizes() == before
 
 
 class TestCountersAndConfig:
@@ -171,13 +151,13 @@ class TestCountersAndConfig:
         expected = sum(1 for verdict in verdicts if verdict.disposable)
         assert tiny_engine.disposable_verdicts == expected
         # Serving the same traffic again doubles the count: the metric
-        # tracks verdicts *served*, memo hits included.
+        # tracks verdicts *served*, not distinct names.
         tiny_engine.classify_batch(tiny_stream)
         assert tiny_engine.disposable_verdicts == 2 * expected
 
     @pytest.mark.parametrize("kwargs", [
         {"threshold": 0.0}, {"threshold": 1.5},
-        {"min_group_size": 0}, {"cache_size": 0},
+        {"min_group_size": 0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -14,7 +17,7 @@ from repro.service.http import MAX_BATCH_NAMES, make_server
 
 @pytest.fixture
 def server(tiny_engine):
-    instance = make_server(tiny_engine, port=0, window_s=0.0)
+    instance = make_server(tiny_engine, port=0)
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
     yield instance
@@ -56,6 +59,33 @@ class TestClassify:
         assert status == 200
         assert document["verdicts"] == oracle
 
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                        reason="needs Linux TCP_QUICKACK")
+    def test_keep_alive_posts_do_not_stall_on_delayed_acks(self, server,
+                                                           tiny_stream):
+        """A client that delays its ACKs must not add a delayed-ACK
+        timeout (~40 ms) to every response: the server writes headers
+        and body separately, which stalls under Nagle's algorithm."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.connect()
+        body = json.dumps({"qname": tiny_stream[0]}).encode("utf-8")
+        requests = 20
+        try:
+            began = time.perf_counter()
+            for _ in range(requests):
+                conn.sock.setsockopt(socket.IPPROTO_TCP,
+                                     socket.TCP_QUICKACK, 0)
+                conn.request("POST", "/classify", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - began
+        finally:
+            conn.close()
+        assert elapsed < requests * 0.040 / 4
+
     def test_invalid_qname_is_a_verdict_not_an_error(self, server):
         status, document = _post(server, "/classify",
                                  {"qname": "bad..name"})
@@ -75,7 +105,10 @@ class TestMetricsAndHealth:
         assert status == 200
         assert 'repro_serve_requests_total{endpoint="/classify"} 1' in body
         assert "repro_serve_engine_names_classified_total 10" in body
-        assert "repro_serve_verdict_cache_size" in body
+        groups = server.engine.table_groups
+        assert f"repro_serve_verdict_table_groups {groups}" in body
+        assert "# TYPE repro_serve_verdict_table_groups gauge" in body
+        assert "verdict_cache" not in body
         assert "repro_serve_batcher_batches_total" in body
         assert "repro_serve_request_errors_total 0" in body
 

@@ -2,27 +2,30 @@
 
 Replays a realistic qname stream (the reference day's below-the-
 resolver query column) against the :mod:`repro.service` classification
-engine three ways and writes the numbers to ``BENCH_serve.json`` at
-the repo root:
+engine two ways and writes the numbers to ``BENCH_serve.json`` at the
+repo root:
 
 * **single** — the per-name oracle: one ``classify_one`` call per
   qname (fresh ``depth_groups`` walk + 1-row model call each time);
-* **batched cold** — ``classify_batch`` in serving-sized chunks from
-  the engine's cold-start state (``clear_caches()``): interned
-  resolution, columnar feature extraction per distinct (zone, depth)
-  group, one stacked ``decision_function`` call per chunk;
-* **batched warm** — the same chunks again with every cache hot:
-  verdicts come straight from the per-qname memo (one dict probe per
-  name), no resolution and no extraction at all.
+* **batched** — ``classify_batch`` in serving-sized chunks: per name,
+  resolution plus one probe of the verdict table the engine built at
+  construction.
+
+It also records what the table costs at load: the build time (one
+shot, cold: the engine constructor over a prebuilt tree and hit-rate
+table), its entry count, a shallow byte size, and the verdict mix of
+its entries.
 
 Every batched pass is asserted verdict-for-verdict equal to the
 single-name oracle *while being timed* (frozen-dataclass equality —
-same reasons, scores, probabilities, bit for bit).  The baseline mode
-additionally asserts the two ISSUE-8 acceptance ratios: batched ≥ 5×
-single QPS and warm ≥ 20× cold QPS.  ``cpu_count``/``available_cpus``
-are recorded and single-core boxes are flagged ``constrained``.
-Timing lives here in ``tools/`` because ``src/repro`` is
-wall-clock-free by the determinism contract (reprolint R001).
+same reasons, scores, probabilities, bit for bit), and every batched
+pass after the first is asserted identical to the first: the engine
+holds no per-traffic state, so there is no cold/warm split.  The
+baseline mode additionally asserts an acceptance floor: batched ≥ 5×
+single QPS.  ``cpu_count``/``available_cpus`` are
+recorded and single-core boxes are flagged ``constrained``.  Timing
+lives here in ``tools/`` because ``src/repro`` is wall-clock-free by
+the determinism contract (reprolint R001).
 
 Usage::
 
@@ -31,7 +34,7 @@ Usage::
 
 The ``--quick`` mode runs the SMALL profile with few events so CI can
 smoke-test the whole path in seconds; it checks equality but not the
-throughput ratios, and does not overwrite the recorded baseline.
+throughput ratio, and does not overwrite the recorded baseline.
 """
 
 from __future__ import annotations
@@ -60,16 +63,18 @@ from repro.core.parallelism import available_cpu_count  # noqa: E402
 from repro.core.ranking import build_tree_from_digest  # noqa: E402
 from repro.experiments.context import (MEDIUM, SMALL,  # noqa: E402
                                        TRAINING_DATE, ScaleProfile)
-from repro.service.engine import (ClassificationEngine,  # noqa: E402
-                                  EngineConfig, Verdict)
+from repro.service.engine import ClassificationEngine, Verdict  # noqa: E402
 from repro.traffic.simulate import PAPER_DATES, TraceSimulator  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_serve.json"
 
 
 def _prepare(profile: ScaleProfile, n_events: Optional[int]
-             ) -> Tuple[DayDigest, ClassificationEngine]:
-    """Simulate the training + reference days; build the engine."""
+             ) -> Tuple[DayDigest, ClassificationEngine, float]:
+    """Simulate the training + reference days; build the engine.
+
+    Returns the serving digest, the engine and the seconds its
+    constructor took (the verdict-table build)."""
     reference = PAPER_DATES[0]
     dates = sorted([reference, TRAINING_DATE], key=lambda d: d.day_index)
     simulator = TraceSimulator(profile.simulator_config())
@@ -84,12 +89,12 @@ def _prepare(profile: ScaleProfile, n_events: Optional[int]
     classifier = LadTreeClassifier().fit(training.X, training.y)
 
     serving_digest = build_day_digest(days[reference.label])
-    engine = ClassificationEngine.from_digest(
-        serving_digest, compile_lad_tree(classifier),
-        # Roomy cache: the bench asserts the warm pass never evicts,
-        # so the warm number measures pure cache-hit serving.
-        config=EngineConfig(cache_size=65_536))
-    return serving_digest, engine
+    model = compile_lad_tree(classifier)
+    serving_tree = build_tree_from_digest(serving_digest)
+    serving_rates = hit_rates_from_digest(serving_digest)
+    start = time.perf_counter()
+    engine = ClassificationEngine(model, serving_tree, serving_rates)
+    return serving_digest, engine, time.perf_counter() - start
 
 
 def _query_stream(digest: DayDigest, n_names: int) -> List[str]:
@@ -113,6 +118,26 @@ def _percentiles(latencies: List[float]) -> Dict[str, float]:
             "p99_ms": round(float(np.percentile(values, 99)), 3)}
 
 
+def _table_bytes(engine: ClassificationEngine) -> int:
+    """Shallow size of the verdict table: the dict, its key tuples and
+    its entries (zone strings are shared with the tree)."""
+    table = engine._table
+    return (sys.getsizeof(table)
+            + sum(sys.getsizeof(key) + sys.getsizeof(entry)
+                  + sys.getsizeof(vars(entry))
+                  for key, entry in table.items()))
+
+
+def _table_mix(engine: ClassificationEngine) -> Dict[str, int]:
+    """Table entries per reason, plus how many are disposable."""
+    mix: Dict[str, int] = {}
+    for entry in engine._table.values():
+        mix[entry.reason] = mix.get(entry.reason, 0) + 1
+    mix["disposable"] = sum(1 for entry in engine._table.values()
+                            if entry.disposable)
+    return dict(sorted(mix.items()))
+
+
 def _run_batched(engine: ClassificationEngine, chunks: List[List[str]]
                  ) -> Tuple[float, List[float], List[Verdict]]:
     """One timed pass over all chunks; per-chunk latencies recorded."""
@@ -129,7 +154,7 @@ def _run_batched(engine: ClassificationEngine, chunks: List[List[str]]
 def bench(profile: ScaleProfile, n_events: Optional[int], n_names: int,
           chunk_size: int, repeats: int,
           assert_ratios: bool) -> Dict[str, object]:
-    digest, engine = _prepare(profile, n_events)
+    digest, engine, table_build_s = _prepare(profile, n_events)
     stream = _query_stream(digest, n_names)
     chunks = _chunks(stream, chunk_size)
     distinct_names = len(set(stream))
@@ -140,9 +165,14 @@ def bench(profile: ScaleProfile, n_events: Optional[int], n_names: int,
         "stream_names": len(stream),
         "distinct_names": distinct_names,
         "chunk_size": chunk_size,
+        "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpu_count(),
         "python": sys.version.split()[0],
+        "table_build_s": round(table_build_s, 4),
+        "table_entries": engine.table_groups,
+        "table_bytes": _table_bytes(engine),
+        "table_verdicts": _table_mix(engine),
     }
     if available_cpu_count() == 1:
         results["constrained"] = True
@@ -162,43 +192,21 @@ def bench(profile: ScaleProfile, n_events: Optional[int], n_names: int,
             single_s = min(single_s, time.perf_counter() - start)
             oracle = oracle if oracle is not None else attempt
 
-        # -- batched, cold verdict cache -----------------------------
-        cold_s = float("inf")
-        cold_latencies: List[float] = []
-        batched: Optional[List[Verdict]] = None
+        # -- batched table path --------------------------------------
+        batched_s = float("inf")
+        batched_latencies: List[float] = []
+        first: Optional[List[Verdict]] = None
         for _ in range(repeats):
-            engine.clear_caches()
             elapsed, latencies, attempt = _run_batched(engine, chunks)
-            if elapsed < cold_s:
-                cold_s, cold_latencies = elapsed, latencies
-            if batched is None:
-                batched = attempt
-                assert batched == oracle, \
+            if elapsed < batched_s:
+                batched_s, batched_latencies = elapsed, latencies
+            if first is None:
+                first = attempt
+                assert first == oracle, \
                     "batched verdicts differ from the per-name oracle"
-
-        # -- batched, warm verdict cache -----------------------------
-        # The last cold pass left the verdict memo and the group LRU
-        # populated; every warm pass must be answered without a single
-        # new cache miss or group extraction.
-        warm_s = float("inf")
-        warm_latencies: List[float] = []
-        warm: Optional[List[Verdict]] = None
-        misses_before = engine.cache.misses
-        extractions_before = engine.groups_extracted
-        for _ in range(repeats):
-            elapsed, latencies, attempt = _run_batched(engine, chunks)
-            if elapsed < warm_s:
-                warm_s, warm_latencies = elapsed, latencies
-            if warm is None:
-                warm = attempt
-                assert warm == oracle, \
-                    "cache-warm verdicts differ from the per-name oracle"
-        assert engine.cache.misses == misses_before, \
-            "warm passes missed the verdict cache"
-        assert engine.groups_extracted == extractions_before, \
-            "warm passes re-extracted group features"
-        assert engine.cache.evictions == 0, \
-            "verdict cache evicted during the bench (cache_size too small)"
+            else:
+                assert attempt == first, \
+                    "a repeated batched pass differs from the first"
     finally:
         gc.enable()
 
@@ -215,33 +223,24 @@ def bench(profile: ScaleProfile, n_events: Optional[int], n_names: int,
 
     n = len(stream)
     single_qps = n / single_s
-    cold_qps = n / cold_s
-    warm_qps = n / warm_s
+    batched_qps = n / batched_s
     results["single_s"] = round(single_s, 4)
-    results["batched_cold_s"] = round(cold_s, 4)
-    results["batched_warm_s"] = round(warm_s, 4)
+    results["batched_s"] = round(batched_s, 4)
     results["single_qps"] = round(single_qps, 1)
-    results["batched_cold_qps"] = round(cold_qps, 1)
-    results["batched_warm_qps"] = round(warm_qps, 1)
-    results["batched_vs_single_speedup"] = round(cold_qps / single_qps, 2)
-    results["warm_vs_cold_speedup"] = round(warm_qps / cold_qps, 2)
-    results["cold_chunk_latency"] = _percentiles(cold_latencies)
-    results["warm_chunk_latency"] = _percentiles(warm_latencies)
-    results["verdict_cache"] = engine.cache.stats()
+    results["batched_qps"] = round(batched_qps, 1)
+    results["batched_vs_single_speedup"] = round(batched_qps / single_qps, 2)
+    results["batched_chunk_latency"] = _percentiles(batched_latencies)
 
-    print(f"single:       {single_s:.3f}s  ({single_qps:,.0f} qps)")
-    print(f"batched cold: {cold_s:.3f}s  ({cold_qps:,.0f} qps, "
-          f"{cold_qps / single_qps:.1f}x single, verdicts identical)")
-    print(f"batched warm: {warm_s:.3f}s  ({warm_qps:,.0f} qps, "
-          f"{warm_qps / cold_qps:.1f}x cold, verdicts identical)")
+    print(f"table:   {engine.table_groups} groups built in "
+          f"{table_build_s * 1000:.1f} ms")
+    print(f"single:  {single_s:.3f}s  ({single_qps:,.0f} qps)")
+    print(f"batched: {batched_s:.3f}s  ({batched_qps:,.0f} qps, "
+          f"{batched_qps / single_qps:.1f}x single, verdicts identical)")
 
     if assert_ratios:
-        assert cold_qps / single_qps >= 5.0, \
-            (f"batched engine is only {cold_qps / single_qps:.2f}x the "
+        assert batched_qps / single_qps >= 5.0, \
+            (f"batched engine is only {batched_qps / single_qps:.2f}x the "
              f"single-name loop (acceptance floor: 5x)")
-        assert warm_qps / cold_qps >= 20.0, \
-            (f"cache-warm serving is only {warm_qps / cold_qps:.2f}x "
-             f"cold (acceptance floor: 20x)")
     return results
 
 
